@@ -497,6 +497,29 @@ fn potentials_csr(csr: &CsrScc, mean: Ratio) -> Vec<i64> {
     phi
 }
 
+/// [`potentials_csr`] for every cyclic component of `graph`, indexed by
+/// global transition. `mean` must not exceed any component's minimum cycle
+/// mean, so every place *inside* a component has a nonnegative reduced cost
+/// `den*w - num + phi(src) - phi(dst)`; places between components are
+/// unconstrained (and transitions on no cycle keep potential 0).
+pub(crate) fn component_potentials(
+    graph: &MarkedGraph,
+    scc: &SccDecomposition,
+    mean: Ratio,
+) -> Vec<i64> {
+    let mut phi = vec![0; graph.transition_count()];
+    for c in scc.component_ids() {
+        if !scc.is_cyclic(graph, c) {
+            continue;
+        }
+        let csr = CsrScc::build(graph, scc, c);
+        for (v, p) in potentials_csr(&csr, mean).into_iter().enumerate() {
+            phi[csr.transition(v).index()] = p;
+        }
+    }
+    phi
+}
+
 fn critical_cycle_from(csr: &CsrScc, mean: Ratio, phi: &[i64]) -> Vec<PlaceId> {
     critical_cycle_edges_from(csr, mean, phi)
         .into_iter()

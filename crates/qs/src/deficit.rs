@@ -6,15 +6,27 @@
 //! *deficit* — the number of extra tokens needed to lift its mean to the
 //! target — and a set of *adjustable edges* (the shell input queues it runs
 //! through) where those tokens may be placed.
+//!
+//! Only deficient cycles are ever searched for
+//! ([`marked_graph::cycles::deficient_cycles`]): when `θ(d[G]) = θ(G)` there
+//! are none and extraction returns the empty instance without any search;
+//! otherwise a reduced-cost bound prunes every branch that cannot close a
+//! deficient cycle. The list — cycles, order and annotations — is the one
+//! filtering a full elementary-cycle enumeration would give.
 
 use lis_core::{ChannelId, LisModel, LisSystem};
-use marked_graph::cycles::elementary_cycles;
+use marked_graph::cycles::deficient_cycles;
 use marked_graph::{McmEngine, PlaceId, Ratio};
 
 use crate::error::QsError;
 
-/// Default cap on enumerated cycles, matching
-/// [`marked_graph::cycles::DEFAULT_CYCLE_LIMIT`].
+/// Default cap on the cycles extraction may close, matching
+/// [`marked_graph::cycles::DEFAULT_CYCLE_LIMIT`]. The cap counts the
+/// deficient cycles plus the non-deficient ones the search's cost bound
+/// cannot rule out (never more than the doubled graph's elementary cycles);
+/// the search also gives up after
+/// [`marked_graph::cycles::EXPANSIONS_PER_CYCLE`] node expansions per cycle
+/// of the cap.
 pub const DEFAULT_CYCLE_LIMIT: usize = marked_graph::cycles::DEFAULT_CYCLE_LIMIT;
 
 /// A cycle of the doubled graph whose mean is below the ideal MST.
@@ -42,8 +54,10 @@ pub struct QsInstance {
     pub practical: Ratio,
     /// All deficient cycles of the doubled graph.
     pub cycles: Vec<DeficientCycle>,
-    /// Total number of elementary cycles in the doubled graph (deficient or
-    /// not), for reporting.
+    /// Cycles of the doubled graph the deficient-cycle search closed,
+    /// deficient or not ([`marked_graph::cycles::DeficientCycles::closed`]):
+    /// a measure of extraction work, not a census of `d[G]`. Zero when
+    /// `θ(d[G]) = θ(G)`, since then no search runs.
     pub total_cycles: usize,
 }
 
@@ -76,14 +90,16 @@ pub fn cycle_deficit(tokens: u64, len: u64, target: Ratio) -> u64 {
     needed.saturating_sub(tokens as i64).max(0) as u64
 }
 
-/// Extracts the queue-sizing instance of a system: enumerates the cycles of
-/// `d[G]`, keeps the deficient ones, and annotates each with its deficit and
-/// adjustable channels.
+/// Extracts the queue-sizing instance of a system: searches `d[G]` for its
+/// deficient cycles only and annotates each with its deficit and adjustable
+/// channels. A system whose practical MST already equals the ideal one
+/// yields the empty instance without any search.
 ///
 /// # Errors
 ///
-/// Returns [`QsError::TooManyCycles`] if the doubled graph has more than
-/// `cycle_limit` elementary cycles.
+/// Returns [`QsError::TooManyCycles`] if the search closes more than
+/// `cycle_limit` cycles or outgrows its node budget (see
+/// [`DEFAULT_CYCLE_LIMIT`]).
 ///
 /// # Examples
 ///
@@ -110,8 +126,7 @@ pub fn extract_instance(sys: &LisSystem, cycle_limit: usize) -> Result<QsInstanc
 ///
 /// # Errors
 ///
-/// Returns [`QsError::TooManyCycles`] if the doubled graph has more than
-/// `cycle_limit` elementary cycles.
+/// As [`extract_instance`].
 pub fn extract_instance_with(
     sys: &LisSystem,
     cycle_limit: usize,
@@ -125,6 +140,10 @@ pub fn extract_instance_with(
 /// Like [`extract_instance`] but reuses an already-built doubled model and an
 /// already-computed ideal MST (the exhaustive relay-station searches call
 /// this in a loop).
+///
+/// # Errors
+///
+/// As [`extract_instance`].
 pub fn extract_from_model(
     sys: &LisSystem,
     model: &LisModel,
@@ -134,12 +153,12 @@ pub fn extract_from_model(
     extract_from_model_with(sys, model, target, cycle_limit, McmEngine::default())
 }
 
-/// [`extract_from_model`] with an explicit MCM engine.
+/// [`extract_from_model`] with an explicit MCM engine for the practical
+/// throughput solve.
 ///
 /// # Errors
 ///
-/// Returns [`QsError::TooManyCycles`] if the doubled graph has more than
-/// `cycle_limit` elementary cycles.
+/// As [`extract_instance`].
 pub fn extract_from_model_with(
     _sys: &LisSystem,
     model: &LisModel,
@@ -149,39 +168,39 @@ pub fn extract_from_model_with(
 ) -> Result<QsInstance, QsError> {
     let graph = model.graph();
     let practical = lis_core::mst_with(graph, engine);
-    let all = elementary_cycles(graph, cycle_limit)?;
-    let total_cycles = all.len();
-    let mut cycles = Vec::new();
-    for places in all {
-        let tokens: u64 = places.iter().map(|&p| graph.tokens(p)).sum();
-        let len = places.len() as u64;
-        let deficit = cycle_deficit(tokens, len, target);
-        if deficit == 0 {
-            continue;
-        }
-        let mut adjustable: Vec<ChannelId> = places
-            .iter()
-            .filter_map(|&p| model.channel_of_queue_backedge(p))
-            .collect();
-        adjustable.sort();
-        adjustable.dedup();
-        debug_assert!(
-            !adjustable.is_empty(),
-            "a deficient cycle must traverse at least one shell queue"
-        );
-        cycles.push(DeficientCycle {
-            places,
-            tokens,
-            len,
-            deficit,
-            adjustable,
-        });
-    }
+    let found = deficient_cycles(graph, practical, target, cycle_limit)?;
+    let cycles = found
+        .cycles
+        .into_iter()
+        .map(|places| {
+            let tokens: u64 = places.iter().map(|&p| graph.tokens(p)).sum();
+            let len = places.len() as u64;
+            let deficit = cycle_deficit(tokens, len, target);
+            debug_assert!(deficit > 0, "the search returns deficient cycles only");
+            let mut adjustable: Vec<ChannelId> = places
+                .iter()
+                .filter_map(|&p| model.channel_of_queue_backedge(p))
+                .collect();
+            adjustable.sort();
+            adjustable.dedup();
+            debug_assert!(
+                !adjustable.is_empty(),
+                "a deficient cycle must traverse at least one shell queue"
+            );
+            DeficientCycle {
+                places,
+                tokens,
+                len,
+                deficit,
+                adjustable,
+            }
+        })
+        .collect();
     Ok(QsInstance {
         target,
         practical,
         cycles,
-        total_cycles,
+        total_cycles: found.closed,
     })
 }
 
@@ -256,7 +275,8 @@ mod tests {
         sys.add_channel(a, c);
         let inst = extract_instance(&sys, 10_000).unwrap();
         assert!(!inst.is_degraded());
-        assert!(inst.total_cycles > 0);
+        // Practical equals ideal, so extraction ran no search at all.
+        assert_eq!(inst.total_cycles, 0);
     }
 
     #[test]

@@ -7,9 +7,10 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum QsError {
-    /// Cycle enumeration blew past the configured limit; the instance is too
-    /// large for the cycle-listing approach (the paper notes this failure
-    /// mode explicitly in Section VIII-C).
+    /// Deficient-cycle extraction blew past the configured limit (it closed
+    /// more than `limit` cycles, or spent more search work than its fixed
+    /// multiple); the instance is too large for the cycle-listing approach
+    /// (the paper notes this failure mode explicitly in Section VIII-C).
     TooManyCycles {
         /// The limit that was exceeded.
         limit: usize,

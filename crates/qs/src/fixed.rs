@@ -57,7 +57,7 @@ pub fn minimal_uniform_q(sys: &LisSystem) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns [`QsError::TooManyCycles`] if cycle enumeration exceeds
+/// Returns [`QsError::TooManyCycles`] if deficient-cycle extraction exceeds
 /// `cycle_limit`.
 ///
 /// # Examples

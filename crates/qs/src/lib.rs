@@ -7,9 +7,11 @@
 //! version NP-complete (reduction from Vertex Cover, Section V) and proposes
 //! the pipeline implemented here (Section VII):
 //!
-//! 1. [`extract_instance`] — enumerate the cycles of `d[G]`, keep the
-//!    *deficient* ones (mean below the ideal MST), and record the shell
-//!    queues each one runs through;
+//! 1. [`extract_instance`] — list the *deficient* cycles of `d[G]` (mean
+//!    below the ideal MST) and record the shell queues each one runs
+//!    through. Nothing is searched when `θ(d[G]) = θ(G)`; otherwise a
+//!    reduced-cost bound prunes every branch that cannot close a deficient
+//!    cycle, so the non-deficient cycles are never listed;
 //! 2. [`TdInstance::from_qs`] — abstract to the Token Deficit problem;
 //! 3. [`simplify`] / [`collapse_sccs`] — the paper's simplification rules
 //!    (subset sets, singleton cycles, SCC contraction);

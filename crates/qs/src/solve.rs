@@ -30,7 +30,8 @@ pub enum Algorithm {
 /// Configuration of the queue-sizing pipeline.
 #[derive(Debug, Clone)]
 pub struct QsConfig {
-    /// Cap on elementary-cycle enumeration.
+    /// Cap on the cycles deficient-cycle extraction may close (it also
+    /// bounds the search's node expansions; see [`DEFAULT_CYCLE_LIMIT`]).
     pub cycle_limit: usize,
     /// Apply the subset/singleton simplification rules before solving.
     pub simplify: bool,
@@ -85,7 +86,9 @@ pub struct QsReport {
     pub optimal: bool,
     /// Number of deficient cycles in the instance.
     pub deficient_cycles: usize,
-    /// Total elementary cycles enumerated in `d[G]`.
+    /// Cycles of `d[G]` the deficient-cycle search closed, deficient or not
+    /// ([`crate::QsInstance::total_cycles`]): extraction work, zero when
+    /// `θ(d[G]) = θ(G)`. Not a census of `d[G]`'s elementary cycles.
     pub total_cycles: usize,
     /// Search nodes explored by the exact solver (0 for the heuristic).
     pub nodes: u64,
@@ -95,7 +98,7 @@ pub struct QsReport {
 ///
 /// # Errors
 ///
-/// Returns [`QsError::TooManyCycles`] if cycle enumeration exceeds
+/// Returns [`QsError::TooManyCycles`] if deficient-cycle extraction exceeds
 /// `cfg.cycle_limit`.
 ///
 /// # Examples

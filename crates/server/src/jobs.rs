@@ -24,6 +24,7 @@ use marked_graph::{McmEngine, Ratio};
 
 use crate::cache::CacheKey;
 use crate::error::ServerError;
+use crate::metrics::QsWork;
 use crate::wire::{obj, Json};
 
 /// A decoded analysis request.
@@ -197,16 +198,30 @@ impl RequestKind {
     /// [`ServerError::Analysis`] when the underlying solver fails (e.g.
     /// cycle-enumeration limits).
     pub fn execute(&self, sys: &LisSystem) -> Result<Json, ServerError> {
+        self.execute_measured(sys, &mut QsWork::default())
+    }
+
+    /// [`RequestKind::execute`], adding the queue-sizing work the job did
+    /// (a `/qs` solve, or a sweep's `"qs"`-mode points) to `work`.
+    ///
+    /// # Errors
+    ///
+    /// As [`RequestKind::execute`].
+    pub(crate) fn execute_measured(
+        &self,
+        sys: &LisSystem,
+        work: &mut QsWork,
+    ) -> Result<Json, ServerError> {
         match self {
             RequestKind::Analyze {
                 engine,
                 schedule,
                 burst,
             } => analyze(sys, *engine, *schedule, burst.as_ref()),
-            RequestKind::Qs { exact, engine } => qs(sys, *exact, *engine),
+            RequestKind::Qs { exact, engine } => qs(sys, *exact, *engine, work),
             RequestKind::Insert { budget } => Ok(insert(sys, *budget)),
             RequestKind::Dot { doubled } => Ok(dot(sys, *doubled)),
-            RequestKind::Sweep { spec } => sweep_table(sys, spec),
+            RequestKind::Sweep { spec } => sweep_table(sys, spec, work),
         }
     }
 }
@@ -589,7 +604,12 @@ pub(crate) fn analyze_report_json(sys: &LisSystem, report: &AnalysisReport) -> J
     ])
 }
 
-fn qs(sys: &LisSystem, exact: bool, engine: McmEngine) -> Result<Json, ServerError> {
+fn qs(
+    sys: &LisSystem,
+    exact: bool,
+    engine: McmEngine,
+    work: &mut QsWork,
+) -> Result<Json, ServerError> {
     let algo = if exact {
         Algorithm::Exact
     } else {
@@ -600,12 +620,20 @@ fn qs(sys: &LisSystem, exact: bool, engine: McmEngine) -> Result<Json, ServerErr
         ..QsConfig::default()
     };
     let report = solve(sys, algo, &cfg).map_err(|e| ServerError::Analysis(e.to_string()))?;
+    work.add(&report);
     if !verify_solution(sys, &report) {
         return Err(ServerError::Analysis(
             "queue-sizing solution failed verification".into(),
         ));
     }
     Ok(qs_report_json(sys, engine, &report))
+}
+
+/// Adds a sweep row's queue-sizing work, if it is a solved `"qs"` point.
+pub(crate) fn add_qs_work(work: &mut QsWork, row: &SweepRow) {
+    if let Ok(PointReport::Qs(report)) = &row.outcome {
+        work.add(report);
+    }
 }
 
 /// Renders a [`QsReport`] exactly as the `/qs` route does (see
@@ -809,10 +837,13 @@ pub(crate) fn sweep_trailer_json(pareto: &[usize], summary: &SweepSummary) -> Js
 /// trailer a streamed `/sweep` emits, as one JSON object. This is what
 /// [`RequestKind::execute`] returns; the server's streaming path emits the
 /// pieces incrementally instead.
-fn sweep_table(sys: &LisSystem, spec: &SweepSpec) -> Result<Json, ServerError> {
+fn sweep_table(sys: &LisSystem, spec: &SweepSpec, work: &mut QsWork) -> Result<Json, ServerError> {
     let sweep = Sweep::new(sys.clone(), spec.clone())
         .map_err(|e| ServerError::BadRequest(e.to_string()))?;
     let (rows, summary) = sweep.evaluate();
+    for row in &rows {
+        add_qs_work(work, row);
+    }
     let pareto = lis_sweep::pareto_front(&rows);
     let header = sweep_header_json(&sweep);
     let row_json: Vec<Json> = rows

@@ -252,6 +252,26 @@ impl NetStats {
 /// matching [`marked_graph::McmEngine::as_str`].
 pub const ENGINE_LABELS: [&str; 3] = ["howard", "karp", "lawler"];
 
+/// Queue-sizing work done by one job: one `/qs` solve, or the sum over a
+/// sweep's `"qs"`-mode points. Feeds the solver counters only; response
+/// bodies never carry it.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct QsWork {
+    /// Cycles the deficient-cycle search closed
+    /// ([`lis_qs::QsReport::total_cycles`]).
+    pub cycles_examined: u64,
+    /// Deficient cycles it found ([`lis_qs::QsReport::deficient_cycles`]).
+    pub deficient_cycles: u64,
+}
+
+impl QsWork {
+    /// Adds one solve's counts.
+    pub fn add(&mut self, report: &lis_qs::QsReport) {
+        self.cycles_examined += report.total_cycles as u64;
+        self.deficient_cycles += report.deficient_cycles as u64;
+    }
+}
+
 /// All metrics the daemon exports. One instance is shared by every
 /// connection handler and worker.
 #[derive(Debug, Default)]
@@ -300,6 +320,11 @@ pub struct Metrics {
     pub sweep_jobs: AtomicU64,
     /// Sweep result rows streamed to clients (cache replays included).
     pub sweep_rows: AtomicU64,
+    /// Cycles the deficient-cycle search of queue sizing closed, over
+    /// computed `/qs` jobs and `"qs"`-mode sweep points.
+    pub qs_cycles_examined: AtomicU64,
+    /// Deficient cycles those searches found.
+    pub qs_deficient_cycles: AtomicU64,
     /// End-to-end latency of whole sweep jobs (first byte to trailer).
     pub sweep_latency: Histogram,
     /// End-to-end request latency (receipt to response write).
@@ -342,6 +367,14 @@ impl Metrics {
         if burst {
             self.schedule_burst_requests.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Adds one job's queue-sizing work to the solver counters.
+    pub fn record_qs_work(&self, work: QsWork) {
+        self.qs_cycles_examined
+            .fetch_add(work.cycles_examined, Ordering::Relaxed);
+        self.qs_deficient_cycles
+            .fetch_add(work.deficient_cycles, Ordering::Relaxed);
     }
 
     /// Observations recorded for one engine label (test observability).
@@ -489,6 +522,18 @@ impl Metrics {
             out,
             "lis_sweep_rows_total {}",
             self.sweep_rows.load(Ordering::Relaxed)
+        );
+        let _ = writeln!(out, "# TYPE lis_qs_cycles_examined_total counter");
+        let _ = writeln!(
+            out,
+            "lis_qs_cycles_examined_total {}",
+            self.qs_cycles_examined.load(Ordering::Relaxed)
+        );
+        let _ = writeln!(out, "# TYPE lis_qs_deficient_cycles_total counter");
+        let _ = writeln!(
+            out,
+            "lis_qs_deficient_cycles_total {}",
+            self.qs_deficient_cycles.load(Ordering::Relaxed)
         );
         if self.sweep_latency.count() > 0 {
             self.sweep_latency.render(&mut out, "lis_sweep_seconds");

@@ -36,8 +36,10 @@ use crate::http::{
     finish_chunked, read_request, render_response_with, write_chunked_head, write_response,
     write_response_with, ChunkBatcher, DeadlineReader, Request, REQUEST_ID_HEADER,
 };
-use crate::jobs::{sweep_header_json, sweep_row_json, sweep_trailer_json, RequestKind};
-use crate::metrics::{Metrics, Route};
+use crate::jobs::{
+    add_qs_work, sweep_header_json, sweep_row_json, sweep_trailer_json, RequestKind,
+};
+use crate::metrics::{Metrics, QsWork, Route};
 use crate::net::{
     residual_reader, Completion, Completions, ConnPermit, EventLoop, FrontConfig, Outcome,
     Rendered, SlotKey,
@@ -892,10 +894,12 @@ fn analysis_request(
             if let Some(plan) = &job_state.config.faults {
                 plan.maybe_panic();
             }
-            kind.execute(&sys)
+            let mut work = QsWork::default();
+            let result = kind.execute_measured(&sys, &mut work);
+            (result, work)
         }));
-        let result = match outcome {
-            Ok(result) => result,
+        let (result, work) = match outcome {
+            Ok(done) => done,
             Err(payload) => {
                 let e = ServerError::WorkerCrashed;
                 let _ = tx.send(Arc::new(CachedResponse {
@@ -909,19 +913,7 @@ fn analysis_request(
             Ok(json) => (200, json.to_string().into_bytes()),
             Err(e) => (e.status(), e.to_json().to_string().into_bytes()),
         };
-        // Per-engine analysis latency: cache misses only, so the histogram
-        // measures the engine and not the cache.
-        if let Some(label) = kind.engine_label() {
-            job_state.metrics.record_engine(label, executed.elapsed());
-        }
-        if let RequestKind::Analyze {
-            schedule, burst, ..
-        } = &kind
-        {
-            job_state
-                .metrics
-                .record_schedule(*schedule, burst.is_some());
-        }
+        record_job(&job_state.metrics, &kind, executed.elapsed(), work);
         // Results are deterministic in (system, kind), so failures are as
         // cacheable as successes.
         let response = Arc::new(CachedResponse { status, body });
@@ -1091,7 +1083,9 @@ fn sweep_request(
     let executed = Instant::now();
     let engine = spec.engine;
     let mut objectives = Vec::with_capacity(sweep.point_count());
+    let mut work = QsWork::default();
     let mut sink = |row: lis_sweep::SweepRow| {
+        add_qs_work(&mut work, &row);
         objectives.push(lis_sweep::objectives(&row));
         let mut line = sweep_row_json(&row, engine).to_string();
         line.push('\n');
@@ -1108,6 +1102,7 @@ fn sweep_request(
     state
         .metrics
         .record_engine(engine.as_str(), executed.elapsed());
+    state.metrics.record_qs_work(work);
     let pareto = lis_sweep::pareto_front_objectives(&objectives);
     let mut trailer = sweep_trailer_json(&pareto, &summary).to_string();
     trailer.push('\n');
@@ -1135,6 +1130,21 @@ fn sweep_request(
         None => Ok(()),
         Some(e) => Err(e),
     }
+}
+
+/// Records one executed (cache-miss) job: the per-engine analysis latency,
+/// the `/analyze` schedule options, and the queue-sizing work.
+fn record_job(metrics: &Metrics, kind: &RequestKind, elapsed: Duration, work: QsWork) {
+    if let Some(label) = kind.engine_label() {
+        metrics.record_engine(label, elapsed);
+    }
+    if let RequestKind::Analyze {
+        schedule, burst, ..
+    } = kind
+    {
+        metrics.record_schedule(*schedule, burst.is_some());
+    }
+    metrics.record_qs_work(work);
 }
 
 /// Request-level validation for `POST /batch`: UTF-8 NDJSON with at least
@@ -1193,10 +1203,12 @@ fn batch_row(state: &Arc<State>, line: &str) -> (u16, Vec<u8>) {
             if let Some(plan) = &state.config.faults {
                 plan.maybe_panic();
             }
-            kind.execute(&sys)
+            let mut work = QsWork::default();
+            let result = kind.execute_measured(&sys, &mut work);
+            (result, work)
         }));
-        let result = match outcome {
-            Ok(result) => result,
+        let (result, work) = match outcome {
+            Ok(done) => done,
             // Crash rows are not cached — the fault is not a property of
             // the (system, kind) pair.
             Err(_) => return Err(ServerError::WorkerCrashed),
@@ -1205,15 +1217,7 @@ fn batch_row(state: &Arc<State>, line: &str) -> (u16, Vec<u8>) {
             Ok(json) => (200, json.to_string().into_bytes()),
             Err(e) => (e.status(), e.to_json().to_string().into_bytes()),
         };
-        if let Some(label) = kind.engine_label() {
-            state.metrics.record_engine(label, executed.elapsed());
-        }
-        if let RequestKind::Analyze {
-            schedule, burst, ..
-        } = &kind
-        {
-            state.metrics.record_schedule(*schedule, burst.is_some());
-        }
+        record_job(&state.metrics, &kind, executed.elapsed(), work);
         state.remember(
             key,
             Arc::new(CachedResponse {
@@ -1527,7 +1531,9 @@ impl ServerHandler {
                 if let Some(plan) = &job_state.config.faults {
                     plan.maybe_panic();
                 }
-                kind.execute(&sys)
+                let mut work = QsWork::default();
+                let result = kind.execute_measured(&sys, &mut work);
+                (result, work)
             }));
             let answer = |status: u16, body: Vec<u8>| {
                 // Whoever removes the pending entry records the request; if
@@ -1551,8 +1557,8 @@ impl ServerHandler {
                     );
                 }
             };
-            let result = match outcome {
-                Ok(result) => result,
+            let (result, work) = match outcome {
+                Ok(done) => done,
                 Err(payload) => {
                     // Answer the typed 500 *before* re-raising so the pool
                     // can count the panic and respawn the worker.
@@ -1565,17 +1571,7 @@ impl ServerHandler {
                 Ok(json) => (200, json.to_string().into_bytes()),
                 Err(e) => (e.status(), e.to_json().to_string().into_bytes()),
             };
-            if let Some(label) = kind.engine_label() {
-                job_state.metrics.record_engine(label, executed.elapsed());
-            }
-            if let RequestKind::Analyze {
-                schedule, burst, ..
-            } = &kind
-            {
-                job_state
-                    .metrics
-                    .record_schedule(*schedule, burst.is_some());
-            }
+            record_job(&job_state.metrics, &kind, executed.elapsed(), work);
             let response = Arc::new(CachedResponse {
                 status,
                 body: body.clone(),

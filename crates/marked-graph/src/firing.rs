@@ -7,6 +7,8 @@
 //! transition firing rates converge to the throughput values computed by the
 //! static minimum-cycle-mean analysis.
 
+use std::collections::HashMap;
+
 use crate::graph::{MarkedGraph, PlaceId, TransitionId};
 use crate::ratio::Ratio;
 
@@ -77,6 +79,51 @@ pub struct PeriodicBehavior {
     pub period: u64,
     /// Firings of each transition over one period.
     pub firings_per_period: Vec<u64>,
+    /// `u64` words per step in `fired`: one bit per transition.
+    stride: usize,
+    /// Which transitions fired in each step of the period, packed.
+    fired: Vec<u64>,
+}
+
+impl PeriodicBehavior {
+    /// Whether `t` fires in step `k` of the period (step `transient + k`
+    /// of the execution).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= period` or `t` is out of range.
+    pub fn fires(&self, k: u64, t: TransitionId) -> bool {
+        assert!(k < self.period, "step {k} lies outside the period");
+        let word = self.fired[k as usize * self.stride + t.index() / 64];
+        word >> (t.index() % 64) & 1 == 1
+    }
+
+    /// The firing word of `t` over one period, starting at step
+    /// `transient`.
+    pub fn word(&self, t: TransitionId) -> Vec<bool> {
+        (0..self.period).map(|k| self.fires(k, t)).collect()
+    }
+}
+
+/// A 64-bit fingerprint key per place: a marking's fingerprint is the sum
+/// of `tokens × key` over its places, wrapping. The keys are fixed
+/// (SplitMix64 of the place index), so every search is deterministic.
+fn fingerprint_keys(graph: &MarkedGraph) -> Vec<u64> {
+    (0..graph.place_count() as u64)
+        .map(|i| {
+            let mut z = i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        })
+        .collect()
+}
+
+/// Every marking fingerprints to the same value, so each visited step is
+/// a candidate and the exact replay check alone finds the repeat.
+#[cfg(test)]
+fn constant_fingerprint_keys(graph: &MarkedGraph) -> Vec<u64> {
+    vec![0; graph.place_count()]
 }
 
 /// Executes a marked graph under step semantics and records firing counts.
@@ -218,14 +265,22 @@ impl<'g> FiringEngine<'g> {
     }
 
     /// Runs until the marking repeats and returns the full periodic
-    /// characterization: transient length, period, and per-transition
-    /// firings per period.
+    /// characterization: transient length, period, per-transition firings
+    /// per period and the firing word of every transition over the period.
     ///
     /// For a live strongly connected marked graph the marking space is
     /// finite and the dynamics deterministic, so the sequence is eventually
     /// periodic; `firings_per_period[t] / period` is the *exact* long-run
     /// rate of `t`, equal to the minimum cycle mean for strongly connected
     /// graphs. Returns `None` if no repeat occurs within `max_steps`.
+    ///
+    /// The search keeps no markings. It keeps a 64-bit fingerprint of the
+    /// current marking, updated by one precomputed delta per fired
+    /// transition, and records each step's firings as packed bits. A step
+    /// whose fingerprint was seen before is checked exactly: a replay from
+    /// the start marking compares the markings of every earlier step with
+    /// that fingerprint, so a collision can neither fake a repeat nor hide
+    /// the first one. Cost: O((transient + period) · (places + nt/64)).
     ///
     /// # Examples
     ///
@@ -241,35 +296,81 @@ impl<'g> FiringEngine<'g> {
     /// let p = engine.periodic_behavior(100).expect("tiny state space");
     /// assert_eq!(p.period, 2);
     /// assert_eq!(p.firings_per_period, vec![1, 1]);
+    /// assert_eq!(p.word(a), [false, true]);
     /// ```
     pub fn periodic_behavior(&mut self, max_steps: u64) -> Option<PeriodicBehavior> {
-        use std::collections::HashMap;
-        let mut seen: HashMap<Marking, (u64, Vec<u64>)> = HashMap::new();
-        seen.insert(self.marking.clone(), (self.steps, self.firings.clone()));
+        let keys = fingerprint_keys(self.graph);
+        self.find_repeat(&keys, max_steps)
+    }
+
+    /// [`FiringEngine::periodic_behavior`] under the given per-place
+    /// fingerprint keys.
+    fn find_repeat(&mut self, keys: &[u64], max_steps: u64) -> Option<PeriodicBehavior> {
+        let graph = self.graph;
+        let delta: Vec<u64> = graph
+            .transition_ids()
+            .map(|t| {
+                let produced = graph.outputs(t).iter().map(|p| keys[p.index()]);
+                let consumed = graph.inputs(t).iter().map(|p| keys[p.index()]);
+                produced
+                    .fold(0u64, u64::wrapping_add)
+                    .wrapping_sub(consumed.fold(0u64, u64::wrapping_add))
+            })
+            .collect();
+        let mut fingerprint = graph
+            .place_ids()
+            .map(|p| self.marking.tokens(p).wrapping_mul(keys[p.index()]))
+            .fold(0u64, u64::wrapping_add);
+        let origin = self.clone();
+        let stride = graph.transition_count().div_ceil(64);
+        let mut fired: Vec<u64> = Vec::new();
+        // Visit `i` is the marking `i` steps after the start. `latest` maps
+        // a fingerprint to its latest visit; `earlier[i]` is the visit
+        // before `i` with the same fingerprint.
+        let mut latest: HashMap<u64, usize> = HashMap::new();
+        let mut earlier: Vec<Option<usize>> = vec![None];
+        latest.insert(fingerprint, 0);
         for _ in 0..max_steps {
             self.step();
-            if let Some((step0, fired0)) = seen.get(&self.marking) {
-                let period = self.steps - step0;
-                let firings_per_period = self
-                    .firings
-                    .iter()
-                    .zip(fired0)
-                    .map(|(now, then)| now - then)
-                    .collect();
-                return Some(PeriodicBehavior {
-                    transient: *step0,
-                    period,
-                    firings_per_period,
-                });
+            fired.resize(fired.len() + stride, 0);
+            let row = fired.len() - stride;
+            for &t in &self.enabled {
+                fingerprint = fingerprint.wrapping_add(delta[t.index()]);
+                fired[row + t.index() / 64] |= 1 << (t.index() % 64);
             }
-            seen.insert(self.marking.clone(), (self.steps, self.firings.clone()));
+            let visit = earlier.len();
+            if let Some(&last) = latest.get(&fingerprint) {
+                let candidates: Vec<usize> =
+                    std::iter::successors(Some(last), |&c| earlier[c]).collect();
+                let mut replay = origin.clone();
+                for &c in candidates.iter().rev() {
+                    replay.run(c as u64 - (replay.steps - origin.steps));
+                    if replay.marking == self.marking {
+                        let firings_per_period = self
+                            .firings
+                            .iter()
+                            .zip(&replay.firings)
+                            .map(|(now, then)| now - then)
+                            .collect();
+                        return Some(PeriodicBehavior {
+                            transient: replay.steps,
+                            period: (visit - c) as u64,
+                            firings_per_period,
+                            stride,
+                            fired: fired.split_off(c * stride),
+                        });
+                    }
+                }
+            }
+            earlier.push(latest.insert(fingerprint, visit));
         }
         None
     }
 
     /// Runs until the marking repeats (periodic behavior reached) or
     /// `max_steps` is hit, then returns the exact long-run throughput of
-    /// transition `t` over one period.
+    /// transition `t` over one period: `firings_per_period[t] / period` of
+    /// [`FiringEngine::periodic_behavior`].
     ///
     /// For a live strongly connected marked graph the reachable marking space
     /// is finite, so a marking must repeat; the firing counts between the two
@@ -278,22 +379,8 @@ impl<'g> FiringEngine<'g> {
     ///
     /// Returns `None` if no repetition was found within `max_steps`.
     pub fn periodic_throughput(&mut self, t: TransitionId, max_steps: u64) -> Option<Ratio> {
-        use std::collections::HashMap;
-        let mut seen: HashMap<Marking, (u64, u64)> = HashMap::new();
-        seen.insert(self.marking.clone(), (self.steps, self.firings[t.index()]));
-        for _ in 0..max_steps {
-            self.step();
-            if let Some(&(step0, fired0)) = seen.get(&self.marking) {
-                let dsteps = self.steps - step0;
-                let dfired = self.firings[t.index()] - fired0;
-                if dsteps == 0 {
-                    return None;
-                }
-                return Some(Ratio::new(dfired as i64, dsteps as i64));
-            }
-            seen.insert(self.marking.clone(), (self.steps, self.firings[t.index()]));
-        }
-        None
+        self.periodic_behavior(max_steps)
+            .map(|b| Ratio::new(b.firings_per_period[t.index()] as i64, b.period as i64))
     }
 }
 
@@ -501,5 +588,116 @@ mod tests {
         // simply terminate and be consistent with throughput().
         let _ = e.periodic_behavior(100);
         assert!(e.steps() <= 101);
+    }
+
+    /// The search as it was before fingerprints: every visited marking
+    /// kept whole in a map. Returns `(transient, period, firings per
+    /// period)`.
+    fn repeat_by_marking_map(graph: &MarkedGraph, max_steps: u64) -> Option<(u64, u64, Vec<u64>)> {
+        let mut e = FiringEngine::new(graph);
+        let mut seen: HashMap<Marking, (u64, Vec<u64>)> = HashMap::new();
+        seen.insert(e.marking.clone(), (0, e.firings.clone()));
+        for _ in 0..max_steps {
+            e.step();
+            if let Some((step0, fired0)) = seen.get(&e.marking) {
+                let per_period = e.firings.iter().zip(fired0).map(|(a, b)| a - b).collect();
+                return Some((*step0, e.steps - step0, per_period));
+            }
+            seen.insert(e.marking.clone(), (e.steps, e.firings.clone()));
+        }
+        None
+    }
+
+    /// The doubled model of `sys`, rebuilt as this crate's graph type (the
+    /// one `lis-core` links is a separate build of the crate).
+    fn doubled(sys: &lis_core::LisSystem) -> MarkedGraph {
+        let model = lis_core::LisModel::doubled(sys);
+        let src = model.graph();
+        let mut g = MarkedGraph::new();
+        for t in src.transition_ids() {
+            g.add_transition(src.transition_name(t));
+        }
+        for p in src.place_ids() {
+            let from = TransitionId::new(src.source(p).index());
+            let to = TransitionId::new(src.target(p).index());
+            g.add_place(from, to, src.tokens(p));
+        }
+        g
+    }
+
+    /// With a constant fingerprint every visit is a candidate, so only the
+    /// exact replay check decides. It must find what the fingerprinted
+    /// search and the marking-map search find: the same regime, words and
+    /// firing counts, and the same per-place peaks.
+    fn assert_collisions_change_nothing(g: &MarkedGraph, max_steps: u64) {
+        let mut fast = FiringEngine::new(g);
+        let found = fast.periodic_behavior(max_steps);
+        let mut colliding = FiringEngine::new(g);
+        let keys = constant_fingerprint_keys(g);
+        // Every step replays all earlier ones, so the colliding search gets
+        // only the steps the fingerprinted one took: a miss fails fast.
+        assert_eq!(colliding.find_repeat(&keys, fast.steps), found);
+        assert_eq!(colliding.max_tokens, fast.max_tokens);
+        assert_eq!(colliding.steps, fast.steps);
+        let oracle = repeat_by_marking_map(g, max_steps);
+        assert_eq!(
+            found.map(|b| (b.transient, b.period, b.firings_per_period)),
+            oracle
+        );
+    }
+
+    #[test]
+    fn collisions_change_nothing_on_the_paper_figures() {
+        use lis_core::figures;
+        for sys in [
+            figures::fig1().0,
+            figures::fig2_right().0,
+            figures::fig6().0,
+            figures::fig15().0,
+            figures::fig2_family(3),
+        ] {
+            let g = doubled(&sys);
+            assert_collisions_change_nothing(&g, 10_000);
+            // A budget that stops short of the repeat finds nothing.
+            let b = FiringEngine::new(&g).periodic_behavior(10_000).unwrap();
+            assert_collisions_change_nothing(&g, b.transient + b.period - 1);
+        }
+    }
+
+    #[test]
+    fn collisions_change_nothing_midway_through_an_execution() {
+        // Starting after some steps: transient counts from the engine's
+        // start, and the replay starts at the search's start marking.
+        let g = doubled(&lis_core::figures::fig15().0);
+        let mut fast = FiringEngine::new(&g);
+        fast.run(5);
+        let mut colliding = fast.clone();
+        let found = fast.periodic_behavior(1000).expect("periodic");
+        assert!(found.transient >= 5);
+        let keys = constant_fingerprint_keys(&g);
+        assert_eq!(colliding.find_repeat(&keys, 1000), Some(found));
+        assert_eq!(colliding.max_tokens, fast.max_tokens);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random LIS systems, as in the schedule property tests.
+        #[test]
+        fn collisions_change_nothing_on_random_systems(
+            n in 2usize..7,
+            channels in proptest::collection::vec((0usize..7, 0usize..7, 0u32..3, 1u64..4), 1..10),
+        ) {
+            let mut sys = lis_core::LisSystem::new();
+            let blocks: Vec<_> = (0..n).map(|i| sys.add_block(format!("b{i}"))).collect();
+            for (from, to, rs, q) in channels {
+                let c = sys.add_channel(blocks[from % n], blocks[to % n]);
+                for _ in 0..rs {
+                    sys.add_relay_station(c);
+                }
+                sys.set_queue_capacity(c, q).expect("q >= 1");
+            }
+            assert_collisions_change_nothing(&doubled(&sys), 65_536);
+        }
     }
 }

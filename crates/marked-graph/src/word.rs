@@ -111,14 +111,54 @@ impl BalancedWord {
         (0..len as u64).map(|k| self.fires_at(k)).collect()
     }
 
-    /// Searches for the phase whose balanced word reproduces `trace`
-    /// exactly, trying all `q` rotations.
+    /// The least phase whose balanced word reproduces `trace` exactly, in
+    /// one pass over the trace.
     ///
-    /// Returns `None` when no rotation matches — which happens for marked
-    /// graphs whose periodic regime is not balanced (cyclicity greater than
-    /// one can interleave two firing groups unevenly). The caller then keeps
-    /// the explicit trace instead of the two-integer encoding.
+    /// Every prefix count pins the phase: a length-`n` prefix holds
+    /// `c = floor((np + phi)/q)` ones exactly when
+    /// `cq - np <= phi <= (c+1)q - np - 1`. The matching phases are the
+    /// intersection of these ranges over all prefixes (the empty prefix
+    /// gives `0..q`), and the least of them is the first rotation an
+    /// exhaustive search over `0..q` would find.
+    ///
+    /// Returns `None` when the intersection is empty — which happens for
+    /// marked graphs whose periodic regime is not balanced (cyclicity
+    /// greater than one can interleave two firing groups unevenly). The
+    /// caller then keeps the explicit trace instead of the two-integer
+    /// encoding.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 <= rate <= 1`.
     pub fn matching(rate: Ratio, trace: &[bool]) -> Option<BalancedWord> {
+        let word = BalancedWord::new(rate);
+        let (p, q) = (i128::from(word.p), i128::from(word.q));
+        let (mut lo, mut hi) = (0, q - 1);
+        // After n letters: np = n·p and cq = c·q for the prefix count c.
+        let (mut np, mut cq) = (0i128, 0i128);
+        for &bit in trace {
+            np += p;
+            if bit {
+                cq += q;
+            }
+            lo = lo.max(cq - np);
+            hi = hi.min(cq + q - 1 - np);
+            if lo > hi {
+                return None;
+            }
+        }
+        Some(BalancedWord::with_phase(rate, lo as u64))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The exhaustive search `matching` replaces: try every rotation
+    /// `0..q` in order and keep the first that reproduces the trace.
+    fn matching_by_rotation(rate: Ratio, trace: &[bool]) -> Option<BalancedWord> {
         let q = BalancedWord::new(rate).q;
         (0..q)
             .map(|phi| BalancedWord::with_phase(rate, phi))
@@ -129,11 +169,53 @@ impl BalancedWord {
                     .all(|(k, &bit)| w.fires_at(k as u64) == bit)
             })
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn matching_equals_the_rotation_search_on_every_short_trace() {
+        // Every rate p/q with q <= 9 (unreduced, as callers may pass them)
+        // against every trace of up to 14 letters, `None` included.
+        let mut found = 0usize;
+        for q in 1..=9i64 {
+            for p in 0..=q {
+                let rate = Ratio::new(p, q);
+                for len in 0..=14usize {
+                    for bits in 0..1u32 << len {
+                        let trace: Vec<bool> = (0..len).map(|k| bits >> k & 1 == 1).collect();
+                        let fast = BalancedWord::matching(rate, &trace);
+                        assert_eq!(fast, matching_by_rotation(rate, &trace), "{rate} {trace:?}");
+                        found += usize::from(fast.is_some());
+                    }
+                }
+            }
+        }
+        assert!(found > 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Long traces: a rotated balanced word of period up to 1009, with
+        /// one letter flipped in about half of the cases.
+        #[test]
+        fn matching_equals_the_rotation_search_on_long_traces(
+            q in 1i64..1010,
+            p in 0i64..1010,
+            phase in 0u64..1010,
+            start in 0u64..2048,
+            len in 0usize..3000,
+            flip in 0usize..6000,
+        ) {
+            let rate = Ratio::new(p % (q + 1), q);
+            let w = BalancedWord::with_phase(rate, phase);
+            let mut trace: Vec<bool> = (start..start + len as u64).map(|k| w.fires_at(k)).collect();
+            if flip < len {
+                trace[flip] = !trace[flip];
+            } else {
+                prop_assert!(BalancedWord::matching(rate, &trace).is_some());
+            }
+            prop_assert_eq!(BalancedWord::matching(rate, &trace), matching_by_rotation(rate, &trace));
+        }
+    }
 
     #[test]
     fn rate_is_exact_over_any_multiple_of_the_period() {

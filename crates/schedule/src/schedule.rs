@@ -1,6 +1,5 @@
 //! Periodic schedule construction on the doubled marked graph.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use lis_core::{BlockId, ChannelId, LisModel, LisSystem};
@@ -10,8 +9,10 @@ use marked_graph::word::BalancedWord;
 use marked_graph::{FiringEngine, McmEngine, Ratio, SccDecomposition, TransitionId};
 
 /// Default step budget for reaching the periodic regime. The doubled
-/// model's pair invariant bounds every place, so real netlists repeat
-/// within a few hundred steps; the budget only guards degenerate inputs.
+/// model's pair invariant bounds every place, so every netlist repeats;
+/// the period follows the slowest cycle and can exceed a thousand steps
+/// (a 1000-block ring with 6 relay stations repeats after 1006). The
+/// budget only guards degenerate inputs.
 pub const MAX_SCHEDULE_STEPS: u64 = 65_536;
 
 /// Why a schedule could not be constructed.
@@ -132,9 +133,14 @@ impl Schedule {
     /// graph is edge-symmetric, so components are exactly the connected
     /// netlist parts and every transition's long-run rate is its
     /// component's mean capped at 1), execute ASAP step semantics until the
-    /// marking repeats, check executed rates against the analyzed rates as
-    /// exact rationals, align each transition's periodic firing word with a
-    /// balanced binary word, and read off per-channel occupancy bounds.
+    /// marking repeats ([`FiringEngine::periodic_behavior`]: a marking
+    /// fingerprint with an exact replay check on every hit), check executed
+    /// rates against the analyzed rates as exact rationals, align each
+    /// transition's periodic firing word with a balanced binary word in one
+    /// pass ([`BalancedWord::matching`]), and read off per-channel
+    /// occupancy bounds. Past the MCM solve the cost is
+    /// O((transient + period) · (places + nt/64)) for the execution plus
+    /// O(nt · period) for the words it reports.
     ///
     /// # Errors
     ///
@@ -166,47 +172,27 @@ impl Schedule {
             .collect();
         let throughput = rates.iter().copied().min().unwrap_or(Ratio::ONE);
 
-        // ASAP execution to the first marking repeat, recording the firing
-        // word of every step.
+        // ASAP execution to the first marking repeat, with the firing word
+        // of every transition over the period.
         let mut eng = FiringEngine::new(graph);
-        let mut seen: HashMap<_, u64> = HashMap::new();
-        seen.insert(eng.marking().clone(), 0);
-        let mut history: Vec<Vec<bool>> = Vec::new();
-        let mut prev: Vec<u64> = vec![0; nt];
-        let (transient, period) = loop {
-            if eng.steps() >= max_steps {
-                return Err(ScheduleError::NoRepeat { max_steps });
-            }
-            eng.step();
-            let bits: Vec<bool> = (0..nt)
-                .map(|t| {
-                    let now = eng.firings(TransitionId::new(t));
-                    let fired = now > prev[t];
-                    prev[t] = now;
-                    fired
-                })
-                .collect();
-            history.push(bits);
-            if let Some(&step0) = seen.get(eng.marking()) {
-                break (step0, eng.steps() - step0);
-            }
-            seen.insert(eng.marking().clone(), eng.steps());
-        };
+        let regime = eng
+            .periodic_behavior(max_steps)
+            .ok_or(ScheduleError::NoRepeat { max_steps })?;
+        let (transient, period) = (regime.transient, regime.period);
 
         // Per-transition periodic word, executed-rate check, and balanced-
         // word phase alignment.
-        let window = &history[transient as usize..(transient + period) as usize];
         let mut transitions = Vec::with_capacity(nt);
-        for t in 0..nt {
-            let word: Vec<bool> = window.iter().map(|bits| bits[t]).collect();
-            let fires = word.iter().filter(|&&b| b).count() as u64;
-            let executed = Ratio::new(fires as i64, period as i64);
+        for (t, &analyzed) in rates.iter().enumerate() {
             let id = TransitionId::new(t);
-            if executed != rates[t] {
+            let word = regime.word(id);
+            let fires = regime.firings_per_period[t];
+            let executed = Ratio::new(fires as i64, period as i64);
+            if executed != analyzed {
                 return Err(ScheduleError::RateMismatch {
                     transition: graph.transition_name(id).to_string(),
                     executed,
-                    analyzed: rates[t],
+                    analyzed,
                 });
             }
             let phase = BalancedWord::matching(executed, &word).map(|w| w.phase());
